@@ -22,8 +22,8 @@ use crate::time::{Micros, PhysicalTime};
 
 /// Counters exposed for experiments (operator swaps drive the Fig 14
 /// analysis; message counts drive overhead accounting in Fig 12).
-/// `steals` and `cross_shard_swaps` are only nonzero under the
-/// [sharded scheduler](crate::shard::ShardedScheduler).
+/// `steals`, `cross_shard_swaps` and `idle_handoffs` are only nonzero
+/// under the [sharded scheduler](crate::shard::ShardedScheduler).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SchedulerStats {
     /// Messages handed to workers via `take_message`.
@@ -32,12 +32,18 @@ pub struct SchedulerStats {
     pub operator_acquisitions: u64,
     /// `decide` calls that swapped away from the in-hand operator at a
     /// quantum boundary (an intra-shard, more-urgent-operator swap).
+    /// Counts only swaps that happen: a boundary the sharded scheduler
+    /// resolves by waking an idle worker is an `idle_handoffs` instead.
     pub quantum_swaps: u64,
     /// Operators acquired from a non-home shard.
     pub steals: u64,
     /// Quantum swaps triggered by a more urgent operator on *another*
     /// shard (the current shard's own decide said Continue).
     pub cross_shard_swaps: u64,
+    /// Quantum boundaries that would have swapped a backlogged operator
+    /// out for more urgent work, resolved instead by waking a parked
+    /// worker to take that work while the in-hand lease continues.
+    pub idle_handoffs: u64,
     /// Submissions whose best-priority hint came straight from the
     /// [push outcome](crate::queue::PushOutcome) in O(1) — no heap
     /// cleanup was needed. The complement (demotion repeeks) should be
@@ -125,6 +131,7 @@ impl SchedulerStats {
         self.quantum_swaps += other.quantum_swaps;
         self.steals += other.steals;
         self.cross_shard_swaps += other.cross_shard_swaps;
+        self.idle_handoffs += other.idle_handoffs;
         self.hint_fast_path += other.hint_fast_path;
         self.mailbox_drained += other.mailbox_drained;
         self.node_reuse_hits += other.node_reuse_hits;
@@ -273,6 +280,17 @@ impl<M> CameoScheduler<M> {
     /// has higher priority, we swap with the current operator after a
     /// fixed time quantum").
     pub fn decide(&mut self, exec: &Execution, now: PhysicalTime) -> Decision {
+        let d = self.decision(exec, now);
+        if d == Decision::Swap {
+            self.stats.quantum_swaps += 1;
+        }
+        d
+    }
+
+    /// [`decide`](Self::decide) without counting the swap: the sharded
+    /// scheduler may still resolve a `Swap` by handing the urgent work
+    /// to an idle worker, and counts whichever happens itself.
+    pub(crate) fn decision(&mut self, exec: &Execution, now: PhysicalTime) -> Decision {
         self.last_now = self.last_now.max(now);
         let Some(mine) = self.queue.peek_message(&exec.lease) else {
             return Decision::Idle;
@@ -282,10 +300,7 @@ impl<M> CameoScheduler<M> {
             return Decision::Continue;
         }
         match self.queue.peek_best() {
-            Some((_, theirs)) if theirs.more_urgent_globally(&mine) => {
-                self.stats.quantum_swaps += 1;
-                Decision::Swap
-            }
+            Some((_, theirs)) if theirs.more_urgent_globally(&mine) => Decision::Swap,
             _ => Decision::Continue,
         }
     }

@@ -12,7 +12,8 @@
 //! * **Lock-free ingress.** `submit` never takes a shard lock: the
 //!   message lands in the shard's [`Mailbox`] (one CAS), the shard's
 //!   best-priority hint is lowered with a CAS when the new message
-//!   beats it, and a parked worker is woken if one exists. Workers
+//!   beats it, and a parked worker is woken if one exists anywhere
+//!   (see the park/wake handshake below). Workers
 //!   *drain* the mailbox into the shard's two-level queue under the
 //!   lock they already hold at every acquire/take/decide/release
 //!   boundary, in submission order. A bursty submitter therefore never
@@ -50,8 +51,16 @@
 //!   priorities on different shards (see `tests/scheduler_comparison.rs`).
 //! * **Quantum swaps across shards.** At quantum boundaries
 //!   [`ShardedScheduler::decide`] also compares the in-hand operator's
-//!   next message against other shards' hints, so a worker parked on a
+//!   next message against other shards' hints, so a worker homed on a
 //!   cold shard cannot monopolize itself while a hot shard backs up.
+//! * **Hand off before swapping.** When a quantum boundary finds more
+//!   urgent work than a backlogged in-hand operator — on its own shard
+//!   or another — and some worker is parked, `decide` wakes that worker
+//!   to take the urgent work and keeps its own lease
+//!   ([`SchedulerStats::idle_handoffs`]); the in-hand backlog then
+//!   loses no time to a release/re-acquire. Only with no idle worker
+//!   does it swap ([`SchedulerStats::quantum_swaps`] and
+//!   [`SchedulerStats::cross_shard_swaps`] count the swaps that happen).
 //! * **Starvation clamp.** The §6.3 starvation guard is enforced by
 //!   each shard's own `CameoScheduler` using that shard's latest
 //!   observed time. Mailbox messages are clamped when they are
@@ -68,23 +77,46 @@
 //!
 //! ## The park/wake handshake
 //!
-//! With ingress off the lock, waking a parked worker can no longer
-//! piggyback on mutex ordering, so parking runs a Dekker-style
-//! handshake against a dedicated per-shard park mutex (deliberately
-//! *not* the scheduler mutex — wakers must never contend with drains):
+//! Idle workers sleep until woken; [`ShardedScheduler::park`]'s
+//! timeout is a backstop, never the way work is found. Every wake is
+//! *work-conserving*: work published on shard `s` — by
+//! [`submit`](ShardedScheduler::submit),
+//! [`submit_batch`](ShardedScheduler::submit_batch), a
+//! [`release`](ShardedScheduler::release) that leaves operators
+//! runnable, or the forwarding of a migrated operator's mail — wakes a
+//! worker parked on `s`, and failing that one parked on any other
+//! shard, since stealing lets any worker run any shard's work. A
+//! successful [`acquire`](ShardedScheduler::acquire) that leaves its
+//! shard with available work wakes one more parker, so one wake for a
+//! batch that made several operators runnable fans out into as many
+//! workers as there is work.
 //!
-//! 1. the parker bumps the shard's `parked` count, takes the park lock,
-//!    and re-checks every shard's hint *and* mailbox before sleeping;
+//! With ingress off the lock, waking cannot piggyback on mutex
+//! ordering, so parking runs a Dekker-style handshake against a
+//! dedicated per-shard park mutex (deliberately *not* the scheduler
+//! mutex — wakers must never contend with drains):
+//!
+//! 1. the parker bumps its shard's `parked` count and the scheduler-wide
+//!    one, takes the park lock, and re-checks every shard's hint *and*
+//!    mailbox (and the caller's stop condition) before sleeping;
 //! 2. the waker publishes work (mailbox CAS or hint store), then — in
-//!    that order — checks `parked` and, if nonzero, locks/unlocks the
-//!    park mutex before notifying.
+//!    that order — reads the scheduler-wide `parked` count and, if
+//!    nonzero, finds a shard with a parker not yet woken, records the
+//!    wake under that shard's park mutex and notifies.
 //!
-//! Sequential consistency between the publish and the `parked` read
+//! Sequential consistency between the publish and the `parked` reads
 //! (SeqCst atomics plus fences on the slow paths) guarantees at least
 //! one side sees the other: either the parker's re-check observes the
-//! work, or the waker observes `parked > 0` and its notify is
-//! serialized by the park lock to land after the parker starts
-//! waiting. `tests/mailbox_stress.rs` hammers exactly this window.
+//! work, or the waker observes the parker and its notify is serialized
+//! by the park lock to land after the parker starts waiting (or, if it
+//! lands first, the recorded wake stops the parker from waiting). A
+//! parker already woken and not yet running is not woken again: it
+//! takes the park lock after the waker releases it, so it sees the new
+//! work too, and the wake goes to another parker — or, at a quantum
+//! boundary, the worker swaps itself. The scheduler-wide count keeps
+//! the all-busy case at one load per wake.
+//! `tests/mailbox_stress.rs` hammers exactly this window with parks
+//! long enough that a lost wake fails the test.
 
 use crate::arena::ReclaimedSegments;
 use crate::config::SchedulerConfig;
@@ -142,15 +174,21 @@ struct Shard<M> {
     /// core lock at acquire/take/decide/release boundaries.
     mailbox: Mailbox<M>,
     /// Workers homed to this shard park here when the whole scheduler
-    /// looks idle; `submit` wakes the target shard.
+    /// looks idle; wakes prefer the shard the work landed on.
     cv: Condvar,
-    /// Mutex paired with `cv`. Deliberately separate from `core`: a
-    /// waker takes this (briefly, empty critical section) to serialize
-    /// with a parker's predicate re-check, without ever contending with
+    /// Mutex paired with `cv`, guarding the number of wakes issued to
+    /// this shard's parkers that no parker has taken up yet. A waker
+    /// claims a parker only while this is below `parked`, so a parker
+    /// is woken once, not once per publication that lands before it
+    /// runs. Deliberately separate from `core`: wakers serialize with a
+    /// parker's predicate re-check here without ever contending with
     /// the drain path.
-    park: Mutex<()>,
+    park: Mutex<usize>,
     /// Number of workers inside [`ShardedScheduler::park`] on this
-    /// shard. Wakers skip the park lock entirely while this is zero.
+    /// shard. Incremented before the park lock (the handshake),
+    /// decremented under it, so a waker holding the lock sees every
+    /// parker that has not yet left. Wakers skip the park lock entirely
+    /// while this is zero.
     parked: AtomicUsize,
     /// Global priority of the shard's most urgent *available* operator
     /// (`EMPTY_HINT` when none). Lowered by submitters with a CAS
@@ -218,8 +256,14 @@ pub struct ShardedScheduler<M> {
     use_mailbox: bool,
     /// Max mailbox messages admitted per lock acquisition (0 = all).
     drain_batch: usize,
+    /// Workers inside [`park`](Self::park) across all shards (each
+    /// shard's own count is the per-shard share). Wakers read this
+    /// first, so a wake costs one load while no worker is idle.
+    parked: AtomicUsize,
     steals: AtomicU64,
+    quantum_swaps: AtomicU64,
     cross_swaps: AtomicU64,
+    idle_handoffs: AtomicU64,
     mailbox_drained: AtomicU64,
     /// Chain publications by `submit_batch` (one per shard per batch);
     /// audits the one-CAS-per-shard amortization. Counted only on the
@@ -299,7 +343,7 @@ impl<M> ShardedScheduler<M> {
                     }),
                     mailbox: Mailbox::new(),
                     cv: Condvar::new(),
-                    park: Mutex::new(()),
+                    park: Mutex::new(0),
                     parked: AtomicUsize::new(0),
                     best: AtomicI64::new(EMPTY_HINT),
                     msgs: AtomicUsize::new(0),
@@ -309,8 +353,11 @@ impl<M> ShardedScheduler<M> {
             steal_threshold: AtomicI64::new(config.steal_threshold.0.min(i64::MAX as u64) as i64),
             use_mailbox: config.mailbox,
             drain_batch: config.mailbox_drain_batch,
+            parked: AtomicUsize::new(0),
             steals: AtomicU64::new(0),
+            quantum_swaps: AtomicU64::new(0),
             cross_swaps: AtomicU64::new(0),
+            idle_handoffs: AtomicU64::new(0),
             mailbox_drained: AtomicU64::new(0),
             batch_pubs: AtomicU64::new(0),
             retired: Mutex::new(HashSet::new()),
@@ -482,9 +529,8 @@ impl<M> ShardedScheduler<M> {
                 }
                 for dest in woken {
                     // The forwarding pushes were SeqCst RMWs, ordered
-                    // before wake_one's parked read — the usual
-                    // handshake.
-                    self.wake_one(dest);
+                    // before wake's parked read — the usual handshake.
+                    self.wake(dest);
                 }
             }
         }
@@ -546,9 +592,8 @@ impl<M> ShardedScheduler<M> {
     }
 
     /// Submit a message for `key`. The shard is derived from the key;
-    /// the caller learns which shard it landed on. Parked workers are
-    /// woken internally — callers no longer need to pair `submit` with
-    /// [`notify_shard`](Self::notify_shard).
+    /// the caller learns which shard it landed on. A parked worker is
+    /// woken internally — one on the target shard, else one elsewhere.
     ///
     /// On the default mailbox path this is lock-free: a mailbox CAS, a
     /// downward hint CAS when the message improves the shard's best,
@@ -573,7 +618,7 @@ impl<M> ShardedScheduler<M> {
         // The mailbox push was a SeqCst RMW, so it is ordered before
         // this parked read in the SC total order — the handshake the
         // module docs describe.
-        self.wake_one(s);
+        self.wake(s);
         Submission {
             shard: s,
             hint_improved,
@@ -684,7 +729,7 @@ impl<M> ShardedScheduler<M> {
                 sh.msgs.fetch_add(n, Ordering::Relaxed);
                 self.batch_pubs.fetch_add(1, Ordering::Relaxed);
                 self.lower_hint(0, min_pri.min(LEAST_URGENT_HINT));
-                self.wake_one(0);
+                self.wake(0);
             }
             return n;
         }
@@ -708,9 +753,9 @@ impl<M> ShardedScheduler<M> {
             self.shards[s].msgs.fetch_add(n, Ordering::Relaxed);
             self.batch_pubs.fetch_add(1, Ordering::Relaxed);
             self.lower_hint(s, min_hint);
-            // The publish CAS was SeqCst, ordering it before wake_one's
+            // The publish CAS was SeqCst, ordering it before wake's
             // parked read — same handshake as the single-submit path.
-            self.wake_one(s);
+            self.wake(s);
         }
         total
     }
@@ -744,7 +789,7 @@ impl<M> ShardedScheduler<M> {
         };
         if newly_runnable {
             fence(Ordering::SeqCst);
-            self.wake_one(s);
+            self.wake(s);
         }
         Submission {
             shard: s,
@@ -778,7 +823,16 @@ impl<M> ShardedScheduler<M> {
         // Refresh even on failure: a failed sweep must settle every
         // hint to EMPTY so park's fast path stops spinning.
         self.refresh_hint(s, &core);
-        exec.map(|exec| ShardExecution { shard: s, exec })
+        let exec = exec?;
+        let more = self.shards[s].best.load(Ordering::Relaxed) != EMPTY_HINT;
+        drop(core);
+        if more {
+            // The shard still advertises work: wake one more parker for
+            // it (the chain wake — one wake per runnable operator).
+            fence(Ordering::SeqCst);
+            self.wake(s);
+        }
+        Some(ShardExecution { shard: s, exec })
     }
 
     /// Check out the most urgent operator for a worker homed on shard
@@ -890,49 +944,77 @@ impl<M> ShardedScheduler<M> {
     /// Decide what to do after finishing a message: the shard's own
     /// quantum logic first; if it says Continue past the quantum, other
     /// shards' hints get a vote too, so in-hand work yields to a
-    /// strictly more urgent operator anywhere in the system.
+    /// strictly more urgent operator anywhere in the system — by
+    /// handing that operator to a parked worker when one exists, and
+    /// by swapping only when none does.
     pub fn decide(&self, exec: &ShardExecution, now: PhysicalTime) -> Decision {
+        let s = exec.shard;
         let mine = {
-            let mut core = self.lock(exec.shard);
-            self.drain_locked(exec.shard, &mut core, None);
-            match core.q.decide(&exec.exec, now) {
+            let mut core = self.lock(s);
+            self.drain_locked(s, &mut core, None);
+            match core.q.decision(&exec.exec, now) {
                 Decision::Continue => core.q.peek_next(&exec.exec),
-                other => return other,
+                Decision::Swap => {
+                    drop(core);
+                    return self.hand_off_or_swap(s, &self.quantum_swaps);
+                }
+                Decision::Idle => return Decision::Idle,
             }
         };
         if self.shards.len() > 1 && now.since(exec.acquired_at()) >= self.quantum {
             if let Some(mine) = mine {
-                let best_other = self
+                let (other, best_other) = self
                     .shards
                     .iter()
                     .enumerate()
-                    .filter(|&(i, _)| i != exec.shard)
-                    .map(|(_, sh)| sh.best.load(Ordering::Acquire))
-                    .min()
-                    .unwrap_or(EMPTY_HINT);
+                    .filter(|&(i, _)| i != s)
+                    .map(|(i, sh)| (i, sh.best.load(Ordering::Acquire)))
+                    .min_by_key(|&(_, b)| b)
+                    .unwrap_or((s, EMPTY_HINT));
                 // Compare in clamped hint space: in-hand IDLE work must
                 // not register as less urgent than another shard's
                 // (equally IDLE) clamped hint.
                 let slack = self.steal_threshold.load(Ordering::Relaxed);
                 if best_other.saturating_add(slack) < hint_of(mine) {
-                    self.cross_swaps.fetch_add(1, Ordering::Relaxed);
-                    return Decision::Swap;
+                    return self.hand_off_or_swap(other, &self.cross_swaps);
                 }
             }
         }
         Decision::Continue
     }
 
-    /// Return a lease. Reports whether the shard still has available
-    /// work (runtimes wake a sibling worker in that case, mirroring the
-    /// single-queue runtime's behavior after a swap).
+    /// A quantum boundary found work on shard `s` more urgent than the
+    /// backlogged in-hand operator. If a worker is parked, wake it to
+    /// take that work and keep the lease (`Continue`); otherwise
+    /// `Swap`, counted on `swaps`. The simulator never parks, so it
+    /// always swaps here.
+    fn hand_off_or_swap(&self, s: usize, swaps: &AtomicU64) -> Decision {
+        if self.wake(s) {
+            self.idle_handoffs.fetch_add(1, Ordering::Relaxed);
+            Decision::Continue
+        } else {
+            swaps.fetch_add(1, Ordering::Relaxed);
+            Decision::Swap
+        }
+    }
+
+    /// Return a lease. If the shard still has available work (a swap
+    /// leaves the released operator's backlog behind), a parked worker
+    /// is woken for it — on this shard, else anywhere. Reports whether
+    /// work remained.
     pub fn release(&self, exec: ShardExecution) -> bool {
         let s = exec.shard;
         let mut core = self.lock(s);
         self.drain_locked(s, &mut core, None);
         core.q.release(exec.exec);
         self.refresh_hint(s, &core);
-        self.shards[s].best.load(Ordering::Acquire) != EMPTY_HINT
+        let more = self.shards[s].best.load(Ordering::Relaxed) != EMPTY_HINT;
+        drop(core);
+        if more {
+            fence(Ordering::SeqCst);
+            self.wake(s);
+        }
+        more
     }
 
     /// Retire `job`: a first-class scheduler operation backing the
@@ -1207,7 +1289,9 @@ impl<M> ShardedScheduler<M> {
             total.merge(self.lock(s).q.stats());
         }
         total.steals = self.steals.load(Ordering::Relaxed);
+        total.quantum_swaps = self.quantum_swaps.load(Ordering::Relaxed);
         total.cross_shard_swaps = self.cross_swaps.load(Ordering::Relaxed);
+        total.idle_handoffs = self.idle_handoffs.load(Ordering::Relaxed);
         total.mailbox_drained = self.mailbox_drained.load(Ordering::Relaxed);
         total.batch_publications = self.batch_pubs.load(Ordering::Relaxed);
         total.jobs_retired = self.jobs_retired.load(Ordering::Relaxed);
@@ -1230,56 +1314,74 @@ impl<M> ShardedScheduler<M> {
             .any(|sh| sh.best.load(Ordering::SeqCst) != EMPTY_HINT || !sh.mailbox.is_empty())
     }
 
-    /// Park the calling worker on its home shard until work may be
-    /// available or `timeout` elapses. The wait is bounded: wakeups for
-    /// *other* shards' work arrive via the timeout (or via that shard's
-    /// own workers), so `timeout` caps the steal latency of an
-    /// all-parked pool. Returns immediately when any shard advertises
-    /// work (hint *or* undrained mailbox).
-    pub fn park(&self, home: usize, timeout: Duration) {
-        let s = home % self.shards.len();
-        let sh = &self.shards[s];
+    /// Park the calling worker on its home shard until it is woken for
+    /// work or `timeout` elapses. Returns immediately when any shard
+    /// advertises work (hint *or* undrained mailbox) or when `stop`
+    /// holds. Every path that publishes work wakes a parker (see the
+    /// module docs), so the timeout is only a backstop. `stop` is
+    /// evaluated under the park lock, so a caller that sets the state
+    /// `stop` reads and then calls [`notify_all`](Self::notify_all)
+    /// can never strand a parker that checked `stop` just before the
+    /// store — exit conditions need no polling either.
+    pub fn park(&self, home: usize, timeout: Duration, stop: impl Fn() -> bool) {
+        let sh = &self.shards[home % self.shards.len()];
+        // Shard count first: a waker that sees the scheduler-wide count
+        // must find the parker when it scans the shards.
         sh.parked.fetch_add(1, Ordering::SeqCst);
-        // Order the parked bump before the predicate loads (the other
-        // half of the submit-side handshake).
+        self.parked.fetch_add(1, Ordering::SeqCst);
+        // Order the parked bumps before the predicate loads (the other
+        // half of the publish-side handshake).
         fence(Ordering::SeqCst);
-        let guard = sh.park.lock().unwrap_or_else(|p| p.into_inner());
-        if self.work_advertised() {
-            drop(guard);
-            sh.parked.fetch_sub(1, Ordering::SeqCst);
-            return;
+        let mut pending = sh.park.lock().unwrap_or_else(|p| p.into_inner());
+        if *pending == 0 && !self.work_advertised() && !stop() {
+            pending = sh
+                .cv
+                .wait_timeout(pending, timeout)
+                .unwrap_or_else(|poisoned| poisoned.into_inner())
+                .0;
         }
-        let _ = sh
-            .cv
-            .wait_timeout(guard, timeout)
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        // Take up one wake addressed to this shard, if any — ours, or
+        // one that raced the re-check (its notify found no waiter).
+        *pending = pending.saturating_sub(1);
+        self.parked.fetch_sub(1, Ordering::SeqCst);
         sh.parked.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// Wake one worker parked on `s`, serializing with the parker's
-    /// predicate re-check via the park lock. Callers must order their
-    /// work-publishing store before this call's `parked` load (a SeqCst
-    /// RMW on the publish, or an explicit SeqCst fence).
-    fn wake_one(&self, s: usize) {
-        let sh = &self.shards[s];
-        if sh.parked.load(Ordering::SeqCst) > 0 {
-            // Empty critical section: the notify now lands either after
-            // the parker began waiting (delivered) or before its
-            // re-check (which then sees the published work).
-            drop(sh.park.lock().unwrap_or_else(|p| p.into_inner()));
-            sh.cv.notify_one();
+    /// Wake one parked worker for work published on shard `s`: an
+    /// unclaimed parker on `s` if any, else one on another shard
+    /// (stealing lets it run `s`'s work). Returns whether a parker was
+    /// claimed; parkers already woken and not yet running are not
+    /// claimed twice. Serializes with the parker's predicate re-check
+    /// via that shard's park lock. Callers must order their
+    /// work-publishing store before this call's `parked` loads (a
+    /// SeqCst RMW on the publish, or an explicit SeqCst fence).
+    fn wake(&self, s: usize) -> bool {
+        if self.parked.load(Ordering::SeqCst) == 0 {
+            return false;
         }
+        let n = self.shards.len();
+        for off in 0..n {
+            let sh = &self.shards[(s + off) % n];
+            if sh.parked.load(Ordering::SeqCst) == 0 {
+                continue;
+            }
+            // Under the park lock the claim is exact: the notify lands
+            // either after the parker began waiting (delivered) or
+            // before its re-check (which then sees the pending wake and
+            // the published work). A parker already claimed takes the
+            // lock after this release, so it sees this work too.
+            let mut pending = sh.park.lock().unwrap_or_else(|p| p.into_inner());
+            if *pending < sh.parked.load(Ordering::SeqCst) {
+                *pending += 1;
+                sh.cv.notify_one();
+                return true;
+            }
+        }
+        false
     }
 
-    /// Wake one worker parked on `shard` (e.g. after `release` reported
-    /// leftover work). `submit` wakes its target shard by itself.
-    pub fn notify_shard(&self, shard: usize) {
-        fence(Ordering::SeqCst);
-        self.wake_one(shard % self.shards.len());
-    }
-
-    /// Wake every parked worker (shutdown, or broadcast after bulk
-    /// submission).
+    /// Wake every parked worker (shutdown, a pool shrink, or any other
+    /// change to a [`park`](Self::park) stop condition).
     pub fn notify_all(&self) {
         for sh in &self.shards {
             drop(sh.park.lock().unwrap_or_else(|p| p.into_inner()));
@@ -1425,7 +1527,7 @@ mod tests {
         let sh2 = sh.clone();
         let h = std::thread::spawn(move || {
             let t0 = std::time::Instant::now();
-            sh2.park(target, Duration::from_secs(30));
+            sh2.park(target, Duration::from_secs(30), || false);
             t0.elapsed()
         });
         std::thread::sleep(Duration::from_millis(100));
@@ -1437,6 +1539,153 @@ mod tests {
             waited < Duration::from_secs(5),
             "parker slept through a batch submit ({waited:?})"
         );
+    }
+
+    /// The first `count` operator keys (job 0) that live on `shard`.
+    fn keys_on(sh: &ShardedScheduler<u64>, shard: usize, count: usize) -> Vec<OperatorKey> {
+        (0..)
+            .map(key)
+            .filter(|&k| sh.shard_of(k) == shard)
+            .take(count)
+            .collect()
+    }
+
+    /// Park a thread on `home` with a long timeout; it reports how long
+    /// it slept. Returns once the thread is counted as parked and has
+    /// had ample time to reach its wait.
+    fn spawn_parker(
+        sh: &std::sync::Arc<ShardedScheduler<u64>>,
+        home: usize,
+    ) -> std::thread::JoinHandle<Duration> {
+        let before = sh.shards[home].parked.load(Ordering::SeqCst);
+        let sh2 = sh.clone();
+        let h = std::thread::spawn(move || {
+            let t0 = std::time::Instant::now();
+            sh2.park(home, Duration::from_secs(30), || false);
+            t0.elapsed()
+        });
+        while sh.shards[home].parked.load(Ordering::SeqCst) == before {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_millis(100));
+        h
+    }
+
+    #[test]
+    fn submit_to_busy_shard_wakes_worker_parked_elsewhere() {
+        let sh = std::sync::Arc::new(sharded(2, 0));
+        let [a, b] = keys_on(&sh, 0, 2)[..] else {
+            unreachable!()
+        };
+        // Shard 0's worker holds a lease, so nobody is parked there.
+        sh.submit(a, 1, Priority::uniform(1));
+        let exec = sh.acquire(0, PhysicalTime::ZERO).unwrap();
+        let parker = spawn_parker(&sh, 1);
+        sh.submit(b, 2, Priority::uniform(1));
+        let waited = parker.join().unwrap();
+        assert!(
+            waited < Duration::from_secs(1),
+            "worker parked on shard 1 slept through work on shard 0 ({waited:?})"
+        );
+        // The woken worker steals the new operator.
+        let stolen = sh.acquire(1, PhysicalTime::ZERO).unwrap();
+        assert_eq!((stolen.shard(), stolen.key()), (0, b));
+        sh.release(stolen);
+        sh.release(exec);
+    }
+
+    #[test]
+    fn quantum_boundary_hands_off_to_parked_worker_else_swaps() {
+        let sh = std::sync::Arc::new(sharded(2, 100));
+        let [backlogged, urgent] = keys_on(&sh, 0, 2)[..] else {
+            unreachable!()
+        };
+        for m in 0..3 {
+            sh.submit(backlogged, m, Priority::uniform(1_000));
+        }
+        let exec = sh.acquire(0, PhysicalTime::ZERO).unwrap();
+        assert_eq!(sh.take_message(&exec).unwrap().0, 0);
+        // Nothing else is runnable, so this worker parks and stays put.
+        let parker = spawn_parker(&sh, 1);
+        // Queue urgent work behind the parker's back (straight into the
+        // queue: a real submit would already wake it).
+        sh.lock(0).q.submit(urgent, 9, Priority::uniform(5));
+        sh.shards[0].msgs.fetch_add(1, Ordering::Relaxed);
+        // Past the quantum with a parked worker: hand off, keep going.
+        assert_eq!(sh.decide(&exec, PhysicalTime(100)), Decision::Continue);
+        let waited = parker.join().unwrap();
+        assert!(
+            waited < Duration::from_secs(1),
+            "hand-off did not wake the parker ({waited:?})"
+        );
+        let st = sh.stats();
+        assert_eq!((st.idle_handoffs, st.quantum_swaps), (1, 0));
+        // No parked worker: swap exactly as before.
+        assert_eq!(sh.take_message(&exec).unwrap().0, 1);
+        assert_eq!(sh.decide(&exec, PhysicalTime(200)), Decision::Swap);
+        let st = sh.stats();
+        assert_eq!((st.idle_handoffs, st.quantum_swaps), (1, 1));
+        sh.release(exec);
+        assert_eq!(drain(&sh, 0), vec![9, 2]);
+    }
+
+    #[test]
+    fn wake_claims_each_parker_once() {
+        let sh = sharded(2, 0);
+        // A parker on shard 1 that has bumped its counts but not yet
+        // reached the park lock (the handshake's first step).
+        sh.shards[1].parked.fetch_add(1, Ordering::SeqCst);
+        sh.parked.fetch_add(1, Ordering::SeqCst);
+        assert!(sh.wake(0), "work on shard 0 claims the parker on shard 1");
+        assert!(!sh.wake(0), "an already-woken parker is not claimed twice");
+        assert!(!sh.wake(1));
+        // It then parks and finds the recorded wake instead of sleeping.
+        sh.shards[1].parked.fetch_sub(1, Ordering::SeqCst);
+        sh.parked.fetch_sub(1, Ordering::SeqCst);
+        let t0 = std::time::Instant::now();
+        sh.park(1, Duration::from_secs(5), || false);
+        assert!(t0.elapsed() < Duration::from_secs(1));
+        assert_eq!(*sh.shards[1].park.lock().unwrap(), 0, "wake taken up");
+    }
+
+    #[test]
+    fn one_batch_wakes_a_parked_worker_per_runnable_operator() {
+        let sh = std::sync::Arc::new(sharded(2, 0));
+        let ops = keys_on(&sh, 0, 2);
+        let leased = std::sync::Arc::new(Mutex::new(Vec::new()));
+        let workers: Vec<_> = (0..2)
+            .map(|home| {
+                let (sh2, leased) = (sh.clone(), leased.clone());
+                let before = sh.parked.load(Ordering::SeqCst);
+                let h = std::thread::spawn(move || {
+                    sh2.park(home, Duration::from_secs(30), || false);
+                    let woke = std::time::Instant::now();
+                    // Hold the lease (never released) so the other
+                    // worker must find the other operator.
+                    let exec = sh2.acquire(home, PhysicalTime::ZERO).unwrap();
+                    leased.lock().unwrap().push(exec.key());
+                    woke
+                });
+                while sh.parked.load(Ordering::SeqCst) == before {
+                    std::thread::yield_now();
+                }
+                h
+            })
+            .collect();
+        std::thread::sleep(Duration::from_millis(100));
+        let t0 = std::time::Instant::now();
+        // Both operators become runnable in one publication on shard 0.
+        sh.submit_batch((0..8u64).map(|i| (ops[i as usize % 2], i, Priority::uniform(1))));
+        for w in workers {
+            let woke = w.join().unwrap();
+            assert!(
+                woke.duration_since(t0) < Duration::from_secs(1),
+                "a parked worker slept through runnable work"
+            );
+        }
+        let mut got = leased.lock().unwrap().clone();
+        got.sort_unstable_by_key(|k| k.op);
+        assert_eq!(got, ops, "each worker leased one operator");
     }
 
     #[test]
@@ -1599,7 +1848,7 @@ mod tests {
         let idle_home = (busy + 1) % 4;
         // park must return immediately: some shard advertises work.
         let t0 = std::time::Instant::now();
-        sh.park(idle_home, Duration::from_secs(5));
+        sh.park(idle_home, Duration::from_secs(5), || false);
         assert!(t0.elapsed() < Duration::from_secs(1));
         // An idle home steals it straight away via the hint path.
         let exec = sh.acquire(idle_home, PhysicalTime::ZERO).unwrap();
@@ -1768,7 +2017,7 @@ mod tests {
         sh.submit(key(0), 1, Priority::uniform(1));
         let t0 = std::time::Instant::now();
         // Work exists somewhere: park must return immediately.
-        sh.park(1, Duration::from_secs(5));
+        sh.park(1, Duration::from_secs(5), || false);
         assert!(t0.elapsed() < Duration::from_secs(1));
     }
 
@@ -1786,7 +2035,7 @@ mod tests {
             .store(EMPTY_HINT, Ordering::SeqCst);
         assert!(!sh.shards[sub.shard].mailbox.is_empty());
         let t0 = std::time::Instant::now();
-        sh.park(0, Duration::from_secs(5));
+        sh.park(0, Duration::from_secs(5), || false);
         assert!(t0.elapsed() < Duration::from_secs(1));
         // Draining restores the hint.
         assert_eq!(drain(&sh, 0), vec![1]);
@@ -1799,7 +2048,7 @@ mod tests {
         let h = std::thread::spawn(move || {
             // Parks (empty), then is woken by the submit below (which
             // wakes its target shard internally).
-            sh2.park(0, Duration::from_secs(10));
+            sh2.park(0, Duration::from_secs(10), || false);
         });
         std::thread::sleep(Duration::from_millis(50));
         let _sub = sh.submit(key(0), 1, Priority::uniform(1));
@@ -1990,7 +2239,7 @@ mod tests {
         let sh2 = sh.clone();
         let h = std::thread::spawn(move || {
             let t0 = std::time::Instant::now();
-            sh2.park(target, Duration::from_secs(30));
+            sh2.park(target, Duration::from_secs(30), || false);
             t0.elapsed()
         });
         // Give the thread time to actually park.

@@ -30,12 +30,20 @@
 //! ([`Runtime::ingest_frames`] — every frame one TCP read completed,
 //! see `crate::net`) and operator fan-out all travel through
 //! `ShardedScheduler::submit_batch`, paying one mailbox CAS, one hint
-//! update and one wake per *shard* per call instead of per message. Workers fold the mailbox into the shard's two-level
-//! queue under the lock they already hold at acquire/take/decide/
-//! release boundaries. Per-shard condvars replace the single condvar;
-//! parks are bounded (`PARK_TIMEOUT`) so cross-shard work is picked up
-//! promptly even when wakeups race, and the park/wake handshake itself
-//! is lost-wakeup-free (see `cameo_core::shard`).
+//! update and one wake per *shard* per call instead of per message.
+//! Workers fold the mailbox into the shard's two-level queue under the
+//! lock they already hold at acquire/take/decide/release boundaries.
+//!
+//! Idle workers park on per-shard condvars and sleep until woken; they
+//! do not poll. Every wake is work-conserving: work that lands on a
+//! shard whose own worker is busy wakes a worker parked on any other
+//! shard, which steals it; a release that leaves work behind and an
+//! acquire that leaves its shard runnable each wake one more parker;
+//! and a quantum boundary that finds more urgent work hands it to a
+//! parked worker instead of swapping out its backlogged operator. The
+//! park/wake handshake is lost-wakeup-free (see `cameo_core::shard`),
+//! so the park timeout (`PARK_BACKSTOP`, seconds) is a safety
+//! backstop only — no path waits on it to make progress.
 //!
 //! Lock ordering: a worker holds at most one instance lock at a time;
 //! reply application locks the *sender* instance only after the
@@ -52,8 +60,10 @@
 //! [`ElasticConfig::tick`] and applying the
 //! [`ElasticController`]'s actions: grow the worker pool toward
 //! `max_workers` when the miss rate crosses the high watermark, retire
-//! workers down to `min_workers` on sustained quiescence (a retired
-//! worker exits at its next idle check, bounded by `PARK_TIMEOUT`),
+//! workers down to `min_workers` on sustained quiescence (a running
+//! worker exits at its next lease boundary; a parked one is woken by
+//! the controller's `notify_all` and exits at once, because it parks
+//! with the pool target as its stop condition),
 //! migrate the busiest operator off an overloaded shard
 //! ([`ShardedScheduler::migrate_operator`]), retune the steal
 //! threshold from observed steal/acquisition ratios, and release
@@ -109,10 +119,11 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Upper bound on how long an idle worker sleeps before rescanning all
-/// shards. This is the worst-case steal latency when every wakeup
-/// races; in steady state submits wake the right shard directly.
-const PARK_TIMEOUT: Duration = Duration::from_millis(1);
+/// Safety backstop on how long an idle worker sleeps without a wake.
+/// Nothing waits on it: every path that publishes work, and every
+/// change to a worker's exit condition, wakes parked workers itself
+/// (see the module docs). It only bounds the damage of a wake bug.
+const PARK_BACKSTOP: Duration = Duration::from_secs(10);
 
 /// An output emitted by a job's sink operator.
 #[derive(Clone, Debug)]
@@ -536,6 +547,16 @@ struct JobsTable {
 }
 
 impl JobsTable {
+    /// True when no deployed job has a message queued or executing:
+    /// every in-flight count is zero.
+    fn idle(&self) -> bool {
+        self.slots.iter().all(|s| {
+            s.job
+                .as_ref()
+                .is_none_or(|j| j.inflight.load(Ordering::SeqCst) == 0)
+        })
+    }
+
     /// The slot's occupant, when the handle's generation is current.
     fn get(&self, handle: JobHandle) -> Result<&Arc<JobRt>, JobError> {
         let slot = self
@@ -587,7 +608,8 @@ struct Shared {
     /// indices. Constant (== the configured pool) without elasticity.
     target_workers: AtomicUsize,
     /// Workers currently inside `worker_loop` (the actual pool gauge;
-    /// lags `target_workers` by at most one park timeout on shrink and
+    /// lags `target_workers` on shrink by one wake of the parked excess
+    /// workers, or by the message a running one is executing, and by
     /// one thread spawn on growth).
     live_workers: AtomicUsize,
     /// Worker-spawn parameters, kept so the controller can grow the
@@ -1279,8 +1301,10 @@ impl Runtime {
     }
 
     /// Workers currently running (spawned and not yet retired). Tracks
-    /// the elastic controller's target with a small lag: retiring
-    /// workers notice the lowered target within one park timeout.
+    /// the elastic controller's target with a small lag: the
+    /// controller wakes parked workers when it lowers the target, so
+    /// they retire at once, and running ones retire at their next lease
+    /// boundary.
     pub fn worker_count(&self) -> usize {
         self.shared.live_workers.load(Ordering::SeqCst)
     }
@@ -1308,16 +1332,27 @@ impl Runtime {
         self.shared.sched.len()
     }
 
-    /// Wait (bounded) for the queue to drain.
+    /// Wait (bounded) until no message is queued or executing, so every
+    /// output the work so far produces has been emitted. Returns whether
+    /// that happened within `timeout`.
     pub fn drain(&self, timeout: std::time::Duration) -> bool {
         let deadline = std::time::Instant::now() + timeout;
+        let drained = || {
+            self.queue_len() == 0
+                && self
+                    .shared
+                    .jobs
+                    .read()
+                    .unwrap_or_else(|p| p.into_inner())
+                    .idle()
+        };
         while std::time::Instant::now() < deadline {
-            if self.queue_len() == 0 {
+            if drained() {
                 return true;
             }
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        self.queue_len() == 0
+        drained()
     }
 
     /// Take an operator-state snapshot now, waiting up to five seconds
@@ -1634,33 +1669,36 @@ fn worker_loop(sh: Arc<Shared>, id: usize) {
     sh.live_workers.fetch_add(1, Ordering::SeqCst);
     // Decrement on *every* exit — including an operator UDF panic
     // unwinding through the worker — so `worker_count` never sticks
-    // above the number of threads actually running.
+    // above the number of threads actually running. An exiting worker
+    // also passes on any wake it absorbed between leaving its last park
+    // and exiting, so no parked sibling is left asleep on that work.
     struct LiveWorker(Arc<Shared>);
     impl Drop for LiveWorker {
         fn drop(&mut self) {
             self.0.live_workers.fetch_sub(1, Ordering::SeqCst);
+            self.0.sched.notify_all();
         }
     }
     let _live = LiveWorker(sh.clone());
+    // Elastic retirement: workers with the highest ids exit when the
+    // controller lowers the target. Checked only between operator
+    // leases, so a retiring worker never abandons a half-drained
+    // operator; a parked worker checks it under the park lock, and the
+    // controller notifies after lowering it.
+    let stop =
+        || sh.shutdown.load(Ordering::Acquire) || id >= sh.target_workers.load(Ordering::SeqCst);
     loop {
-        if sh.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        // Elastic retirement: workers with the highest ids exit when
-        // the controller lowers the target. Checked only between
-        // operator leases, so a retiring worker never abandons a
-        // half-drained operator; a parked worker notices within one
-        // park timeout (the controller also notifies on shrink).
-        if id >= sh.target_workers.load(Ordering::SeqCst) {
+        if stop() {
             return;
         }
         // Acquire the most urgent operator (home shard first, stealing
-        // from hotter shards), parking briefly when everything is idle.
+        // from hotter shards), parking until woken when all is idle.
         let Some(exec) = sh.sched.acquire(home, sh.now()) else {
-            sh.sched.park(home, PARK_TIMEOUT);
+            sh.sched.park(home, PARK_BACKSTOP, stop);
             continue;
         };
-        // Drain the operator until the scheduler says stop.
+        // Drain the operator until the scheduler says stop; `release`
+        // wakes a parked worker for whatever the lease leaves behind.
         loop {
             let Some((msg, _pri)) = sh.sched.take_message(&exec) else {
                 sh.sched.release(exec);
@@ -1670,13 +1708,7 @@ fn worker_loop(sh: Arc<Shared>, id: usize) {
             match sh.sched.decide(&exec, sh.now()) {
                 Decision::Continue => continue,
                 Decision::Swap | Decision::Idle => {
-                    let shard = exec.shard();
-                    // The released operator may still be runnable (swap
-                    // leaves messages behind); wake a parked sibling on
-                    // that shard.
-                    if sh.sched.release(exec) {
-                        sh.sched.notify_shard(shard);
-                    }
+                    sh.sched.release(exec);
                     break;
                 }
             }
@@ -1823,13 +1855,7 @@ fn try_snapshot(sh: &Arc<Shared>, wait: Duration) -> Result<u64, SnapshotError> 
         {
             let jobs = sh.jobs.read().unwrap_or_else(|p| p.into_inner());
             let guard = dur.journal.begin();
-            let quiescent = sh.sched.is_empty()
-                && jobs.slots.iter().all(|s| {
-                    s.job
-                        .as_ref()
-                        .is_none_or(|j| j.inflight.load(Ordering::SeqCst) == 0)
-                });
-            if quiescent {
+            if sh.sched.is_empty() && jobs.idle() {
                 let offset = guard.offset();
                 let seq = dur.snapshot_seq.fetch_add(1, Ordering::AcqRel) + 1;
                 let mut slots = Vec::with_capacity(jobs.slots.len());
@@ -2289,31 +2315,34 @@ mod tests {
         // controller must shrink back toward the floor and reclaim.
         assert!(rt.drain(std::time::Duration::from_secs(10)));
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        let mut first_shrink = None;
+        let mut retired_after = None;
         loop {
             let tel = rt.elastic_telemetry();
-            if tel.shrinks >= 1 && tel.reclaims >= 1 && rt.worker_count() <= tel.peak_workers {
+            if tel.shrinks >= 1 {
+                let at = *first_shrink.get_or_insert_with(std::time::Instant::now);
+                if retired_after.is_none() && rt.worker_count() < tel.peak_workers {
+                    retired_after = Some(at.elapsed());
+                }
+            }
+            if tel.reclaims >= 1 && retired_after.is_some() {
                 break;
             }
             assert!(
                 std::time::Instant::now() < deadline,
-                "controller never went quiescent: {tel:?}"
+                "controller never went quiescent, or excess workers never \
+                 retired (live {}): {tel:?}",
+                rt.worker_count()
             );
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
-        // Retired workers observe the lowered target within a park
-        // timeout; give them a moment, then the live count must sit
-        // strictly below the peak.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while rt.worker_count() >= rt.elastic_telemetry().peak_workers
-            && std::time::Instant::now() < deadline
-        {
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
+        // The parked excess workers are idle: the controller's wake on
+        // shrink retires them at once. Waiting out the park backstop
+        // (seconds) would mean retirement depended on polling.
+        let retired_after = retired_after.unwrap();
         assert!(
-            rt.worker_count() < rt.elastic_telemetry().peak_workers,
-            "excess workers retired (live {}, peak {})",
-            rt.worker_count(),
-            rt.elastic_telemetry().peak_workers
+            retired_after < PARK_BACKSTOP / 10,
+            "excess workers took {retired_after:?} to retire after the shrink"
         );
         rt.shutdown();
     }

@@ -18,6 +18,11 @@ fn key(job: u32, op: u32) -> OperatorKey {
     OperatorKey::new(JobId(job), op)
 }
 
+/// Park timeout of the stress workers. Every path that publishes work
+/// wakes a parker, so a park that runs this long while work is pending
+/// is a lost wakeup: the tests count such parks and fail on any.
+const PARK: Duration = Duration::from_secs(5);
+
 /// N submitters × M workers: every message is delivered exactly once,
 /// and — because every submitter's messages to one operator carry equal
 /// priorities and ascending ids — per-operator delivery order must be
@@ -37,6 +42,7 @@ fn mailbox_stress_no_loss_no_dup_fifo_per_operator() {
             .with_quantum(Micros(20)),
     ));
     let consumed = Arc::new(AtomicUsize::new(0));
+    let slept_through = Arc::new(AtomicUsize::new(0));
     // op id -> delivered message ids, appended while the lease is held,
     // so the per-op order here is the true delivery order.
     let delivered: Arc<Mutex<HashMap<u32, Vec<u64>>>> = Arc::new(Mutex::new(HashMap::new()));
@@ -61,12 +67,18 @@ fn mailbox_stress_no_loss_no_dup_fifo_per_operator() {
         .map(|w| {
             let sched = sched.clone();
             let consumed = consumed.clone();
+            let slept_through = slept_through.clone();
             let delivered = delivered.clone();
             std::thread::spawn(move || {
                 let mut now = 0u64;
-                while consumed.load(Ordering::Acquire) < TOTAL as usize {
+                let done = || consumed.load(Ordering::Acquire) >= TOTAL as usize;
+                while !done() {
                     let Some(exec) = sched.acquire(w, PhysicalTime(now)) else {
-                        sched.park(w, Duration::from_millis(1));
+                        let t0 = Instant::now();
+                        sched.park(w, PARK, done);
+                        if t0.elapsed() >= PARK {
+                            slept_through.fetch_add(1, Ordering::Relaxed);
+                        }
                         continue;
                     };
                     while let Some(((op, id), _)) = sched.take_message(&exec) {
@@ -80,10 +92,9 @@ fn mailbox_stress_no_loss_no_dup_fifo_per_operator() {
                             Decision::Swap | Decision::Idle => break,
                         }
                     }
-                    if sched.release(exec) {
-                        sched.notify_shard(w);
-                    }
+                    sched.release(exec);
                 }
+                // Siblings park with `done` as their stop condition.
                 sched.notify_all();
             })
         })
@@ -96,6 +107,11 @@ fn mailbox_stress_no_loss_no_dup_fifo_per_operator() {
         h.join().unwrap();
     }
 
+    assert_eq!(
+        slept_through.load(Ordering::Relaxed),
+        0,
+        "a worker slept out its whole park with work pending (lost wakeup)"
+    );
     let delivered = Arc::try_unwrap(delivered).unwrap().into_inner().unwrap();
     let total: usize = delivered.values().map(|v| v.len()).sum();
     assert_eq!(total, TOTAL as usize, "messages lost or duplicated");
@@ -421,7 +437,9 @@ fn submit_during_park_race_window_always_wakes() {
                     // The dangerous moment: going to sleep right as the
                     // next round's submit flies in. Long timeout so a
                     // lost wakeup is loud, not papered over.
-                    None => sched.park(0, Duration::from_secs(10)),
+                    None => sched.park(0, Duration::from_secs(10), || {
+                        stop.load(Ordering::Acquire) != 0
+                    }),
                 }
             }
         })
@@ -470,11 +488,11 @@ fn bursty_submits_never_strand_parked_pool() {
                             while sched.take_message(&exec).is_some() {
                                 consumed.fetch_add(1, Ordering::AcqRel);
                             }
-                            if sched.release(exec) {
-                                sched.notify_shard(w);
-                            }
+                            sched.release(exec);
                         }
-                        None => sched.park(w, Duration::from_secs(10)),
+                        None => sched.park(w, Duration::from_secs(10), || {
+                            stop.load(Ordering::Acquire) != 0
+                        }),
                     }
                 }
             })

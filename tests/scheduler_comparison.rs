@@ -329,7 +329,11 @@ fn concurrent_submit_drain_loses_nothing() {
             .with_shards(WORKERS)
             .with_quantum(Micros(50)),
     ));
+    // Every path that publishes work wakes a parker, so a park that
+    // runs out this timeout while work is pending is a lost wakeup.
+    const PARK: std::time::Duration = std::time::Duration::from_secs(5);
     let consumed = Arc::new(AtomicUsize::new(0));
+    let slept_through = Arc::new(AtomicUsize::new(0));
     let seen = Arc::new(Mutex::new(Vec::with_capacity(TOTAL as usize)));
 
     let submitters: Vec<_> = (0..SUBMITTERS as u64)
@@ -357,13 +361,19 @@ fn concurrent_submit_drain_loses_nothing() {
         .map(|w| {
             let sched = sched.clone();
             let consumed = consumed.clone();
+            let slept_through = slept_through.clone();
             let seen = seen.clone();
             std::thread::spawn(move || {
                 let mut local = Vec::new();
                 let mut now = 0u64;
-                while consumed.load(Ordering::Acquire) < TOTAL as usize {
+                let done = || consumed.load(Ordering::Acquire) >= TOTAL as usize;
+                while !done() {
                     let Some(exec) = sched.acquire(w, PhysicalTime(now)) else {
-                        sched.park(w, std::time::Duration::from_millis(1));
+                        let t0 = std::time::Instant::now();
+                        sched.park(w, PARK, done);
+                        if t0.elapsed() >= PARK {
+                            slept_through.fetch_add(1, Ordering::Relaxed);
+                        }
                         continue;
                     };
                     while let Some((id, _)) = sched.take_message(&exec) {
@@ -375,11 +385,10 @@ fn concurrent_submit_drain_loses_nothing() {
                             Decision::Swap | Decision::Idle => break,
                         }
                     }
-                    if sched.release(exec) {
-                        sched.notify_shard(w);
-                    }
+                    sched.release(exec);
                 }
-                sched.notify_all(); // release any parked sibling
+                // Siblings park with `done` as their stop condition.
+                sched.notify_all();
                 seen.lock().unwrap().extend(local);
             })
         })
@@ -391,6 +400,11 @@ fn concurrent_submit_drain_loses_nothing() {
     for h in workers {
         h.join().unwrap();
     }
+    assert_eq!(
+        slept_through.load(Ordering::Relaxed),
+        0,
+        "a worker slept out its whole park with work pending (lost wakeup)"
+    );
     let mut ids = Arc::try_unwrap(seen).unwrap().into_inner().unwrap();
     assert_eq!(ids.len(), TOTAL as usize, "wrong number of deliveries");
     ids.sort_unstable();
